@@ -305,11 +305,11 @@ pub struct RuntimeConfig {
     pub predict_drift_factor_pm: u32,
     /// When `true`, the runtime re-addresses every launch's buffers — and
     /// allocates sandbox copies — from its own private
-    /// [`dysel_kernel::AddrSpace`] instead of the process-global virtual
+    /// [`dysel_kernel::AddrSpace`] instead of the per-thread virtual
     /// allocator. The device cache models hash buffer addresses into
-    /// lines and sets, so with the global allocator a runtime's virtual
-    /// timeline is (weakly) sensitive to unrelated concurrent
-    /// allocations; with private addresses it is a pure function of the
+    /// lines and sets, so with the thread's allocator a runtime's virtual
+    /// timeline is (weakly) sensitive to other allocations on the same
+    /// thread; with private addresses it is a pure function of the
     /// runtime's own launch history. A [`crate::LaunchService`] lane sets
     /// this so every stream replays bit-identically to a serial run at
     /// any client count. Off by default: a single-runtime process keeps

@@ -515,8 +515,8 @@ impl Runtime {
     ) -> Result<LaunchReport, DyselError> {
         // Private-address mode: re-address the incoming buffers from this
         // runtime's own address space before anything observes them, so
-        // the priced timeline is independent of where concurrent threads
-        // happened to push the global allocator (see
+        // the priced timeline is independent of where other runtimes on
+        // this thread happened to push the thread's allocator (see
         // [`RuntimeConfig::private_addrs`]).
         self.sandboxes.rebase(args);
         let total_units = end.saturating_sub(start);
@@ -1453,11 +1453,24 @@ fn profile_core(
     // sandboxes), so the device may fan their functional execution out
     // across worker threads while scheduling them in issue order.
     let mut profiled: Vec<ProfiledLaunch> = Vec::with_capacity(ka * reps as usize);
+    let mut live_written = false;
     {
+        // In the sandboxed modes every repetition re-runs the same slice.
+        // Repetitions after the first run into a throwaway copy of their
+        // variant's target (same buffers and addresses, so they price
+        // exactly alike), so each (variant, slice) output is committed
+        // once: an accumulating kernel must not count its slice per rep.
+        let mut spares: Vec<Args> = Vec::new();
+        if mode != ProfilingMode::FullyProductive && reps > 1 {
+            spares = active
+                .iter()
+                .map(|&vi| private_args[vi].as_ref().unwrap_or(args).clone())
+                .collect();
+        }
         // targets[0] is the live argument set; each sandboxed variant's
         // lease follows, with `target_of[pos]` naming the slot the variant
-        // at active position `pos` executes against.
-        let mut targets: Vec<&mut Args> = Vec::with_capacity(1 + ka);
+        // at active position `pos` executes against, then the spares.
+        let mut targets: Vec<&mut Args> = Vec::with_capacity(1 + ka + spares.len());
         targets.push(&mut *args);
         let mut target_of: Vec<usize> = vec![0; ka];
         for (vi, slot) in private_args.iter_mut().enumerate() {
@@ -1470,6 +1483,13 @@ fn profile_core(
                 targets.push(p);
             }
         }
+        let spare_of: Vec<usize> = spares
+            .iter_mut()
+            .map(|spare| {
+                targets.push(spare);
+                targets.len() - 1
+            })
+            .collect();
         let mut entries: Vec<BatchEntry<'_>> = Vec::with_capacity(ka * reps as usize);
         for (pos, &vi) in active.iter().enumerate() {
             let stream = StreamId(pos as u32 + 1);
@@ -1486,7 +1506,10 @@ fn profile_core(
                     kernel: v.kernel.as_ref(),
                     meta: &v.meta,
                     units,
-                    target: target_of[pos],
+                    target: match spare_of.get(pos) {
+                        Some(&spare) if r > 0 => spare,
+                        _ => target_of[pos],
+                    },
                     stream,
                     not_before: t_start,
                     measured: true,
@@ -1592,6 +1615,7 @@ fn profile_core(
                 }
             };
             if let Some(record) = record {
+                live_written |= e.target == 0;
                 if let Some(obs) = &config.observe {
                     obs.count(names::PROFILE_LAUNCHES, 1);
                     if let Some(m) = record.measured {
@@ -1622,12 +1646,9 @@ fn profile_core(
             }
         }
     }
-    // In hybrid mode the first candidate writes the live slice; if every
-    // one of its launches failed, that slice is unwritten.
-    if mode == ProfilingMode::HybridPartial
-        && !alive.contains(&active[0])
-        && !profiled.iter().any(|p| p.variant == active[0])
-    {
+    // In hybrid mode the first candidate's first repetition writes the
+    // live slice; if that launch failed for good, the slice is unwritten.
+    if mode == ProfilingMode::HybridPartial && !alive.contains(&active[0]) && !live_written {
         dead_slices.push(UnitRange::new(start, start + s));
     }
 

@@ -16,8 +16,8 @@
 //!   *lane*: a private [`Runtime`] on a private device (from the service's
 //!   device factory) with a private event sink and a private virtual
 //!   address space ([`crate::RuntimeConfig::private_addrs`] — the device
-//!   cache models price buffer addresses, so lanes must not share the
-//!   process-global allocator). Virtual clocks, fault-plan counters,
+//!   cache models price buffer addresses, so lanes must not share their
+//!   worker thread's allocator). Virtual clocks, fault-plan counters,
 //!   event sequence numbers and buffer addresses are therefore never
 //!   shared across streams — each stream's reports, selection digest and
 //!   exported trace bytes are bit-identical to the same submissions

@@ -1,54 +1,41 @@
-//! The parallel work-pool executor and the two-phase launch engine.
+//! The parallel work-pool executor and the windowed streaming launch engine.
 //!
 //! The device models price every work-group against *stateful* per-unit
 //! cache models and a greedy earliest-free-unit scheduler, so the virtual
 //! timeline is an inherently serial computation. Functional execution of
 //! the work-groups, however, is pure: a group's outputs and its cost trace
 //! depend only on the pre-launch buffer contents and the group's unit
-//! range. The engine exploits exactly that split:
+//! range. The engine exploits exactly that split with a windowed stream:
 //!
-//! 1. **Functional phase (parallel).** A launch's groups are partitioned
-//!    into a fixed number of contiguous *spans* (independent of the worker
-//!    count). Each span job clones the pre-launch argument snapshot
-//!    (copy-on-write, so inputs are shared), executes its groups, and
-//!    records each group's cost trace with a
-//!    [`dysel_kernel::RecordingSink`]. Jobs run on a std-only work pool —
-//!    `std::thread` workers pulling span indexes from a shared queue and
-//!    returning results over an `mpsc` channel.
-//! 2. **Reduction + pricing phase (serial, canonical order).** Span results
-//!    are reduced in span order: output deltas are merged into the real
-//!    argument buffers, then every recorded trace is replayed — in the
-//!    launch's canonical group order — through the device's cost sink,
-//!    per-unit cache state, scheduler and noise model.
+//! * **Functional execution (parallel).** A launch's groups are partitioned
+//!   into a fixed number of contiguous *spans* (independent of the worker
+//!   count), and the spans of every entry of a batch form one canonical
+//!   (entry, span) sequence. Each span job clones the pre-launch argument
+//!   snapshot (copy-on-write, so inputs are shared), executes its groups,
+//!   and records their cost trace into a recycled
+//!   [`dysel_kernel::RecordingSink`]. Span jobs go to `std::thread`
+//!   workers in sequence order, at most W = 2 x `threads` ahead of the span
+//!   the consumer is done with, so no more than W span traces are alive.
+//! * **Merge + pricing (serial, canonical order).** The caller consumes
+//!   spans strictly in sequence order as they finish: a span's writes are
+//!   merged into the real argument buffers, its trace is replayed through
+//!   the device's cost sink, per-unit cache state, scheduler and noise
+//!   model, and the trace goes straight back to the arena. At one thread
+//!   nothing is spawned: each span runs, merges and is priced before the
+//!   next one starts.
 //!
-//! Because phase 2 consumes span results in canonical order regardless of
-//! which worker produced them when, the same seed yields bit-identical
-//! outputs, measurements and schedules at any thread count — the
-//! determinism contract the test suite pins at 1, 2 and 8 workers.
-//!
-//! ## Output-merge strategies
-//!
-//! Workers execute against a snapshot, so every group observes the
-//! *pre-launch* buffer state (the same guarantee a real accelerator gives
-//! concurrent work-groups). Worker writes are folded back by comparing the
-//! executed snapshot against the pristine one, per declared output
-//! argument:
-//!
-//! * disjoint outputs (`ir.output_disjoint`, no atomics): changed elements
-//!   overwrite the target in span order — bit-identical to serial
-//!   execution, since each element is written by at most one group;
-//! * overlapping/atomic outputs: the element-wise *delta* is added with
-//!   wrapping arithmetic, which composes exactly for the commutative
-//!   accumulations (e.g. histogram bin counts) such kernels perform.
+//! Because spans are consumed in canonical order regardless of which
+//! worker produced them when, the same seed yields bit-identical outputs,
+//! measurements and schedules at any thread count — the determinism
+//! contract the test suite pins at 1, 2 and 8 workers.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
 
 use dysel_kernel::{
-    span_bounds, Args, GroupCtx, Kernel, RecordedTrace, RecordingSink, TraceView, UnitRange,
-    VariantMeta,
+    span_bounds, Args, GroupCtx, RecordedTrace, RecordingSink, TraceView, UnitRange, VariantMeta,
 };
 use dysel_obs::{Event, EventSink, Stage};
 
@@ -61,31 +48,35 @@ use crate::noise::NoiseModel;
 use crate::sched::UnitPool;
 use crate::Cycles;
 
-/// Spans a launch is split into for the functional phase. Fixed (not a
+/// Spans a launch is split into for functional execution. Fixed (not a
 /// function of the worker count) so that span boundaries — and therefore
 /// merge order and recorded traces — are identical at every thread count.
 const SPANS_PER_LAUNCH: usize = 16;
 
-/// Upper bound on recycled span traces kept by an [`Executor`]'s arena.
-/// One launch produces at most [`SPANS_PER_LAUNCH`] traces per entry, so a
-/// small multiple keeps the steady state allocation-free without letting a
-/// one-off giant batch pin memory forever.
-const MAX_POOLED_TRACES: usize = 64;
-
 /// A std-only work pool: `threads` workers executing indexed jobs pulled
-/// from a shared queue, with results reduced in index order.
+/// from a shared queue, with results consumed in index order.
 ///
 /// `threads == 0` resolves to [`std::thread::available_parallelism`];
 /// `threads == 1` runs jobs inline on the caller thread (no spawning).
 ///
 /// The executor also owns the launch engine's *trace arena*: recorded span
 /// traces are returned here after pricing and handed back to the next
-/// launch's span jobs, so the profile→price→discard cycle stops hitting
-/// the allocator once the pool is warm.
+/// span jobs, so the record→price→discard cycle stops hitting the
+/// allocator once the arena is warm. It keeps at most one window's worth.
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
-    arena: Arc<Mutex<Vec<RecordedTrace>>>,
+    arena: Arc<Mutex<Arena>>,
+}
+
+/// Recycled span traces, plus (in tests) how many are checked out.
+#[derive(Debug, Default)]
+struct Arena {
+    free: Vec<RecordedTrace>,
+    #[cfg(test)]
+    out: usize,
+    #[cfg(test)]
+    peak_out: usize,
 }
 
 impl Executor {
@@ -98,26 +89,7 @@ impl Executor {
         };
         Executor {
             threads,
-            arena: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-
-    /// Pops a recycled trace from the arena (empty if none is available).
-    fn take_trace(&self) -> RecordedTrace {
-        self.arena
-            .lock()
-            .map(|mut pool| pool.pop())
-            .unwrap_or_default()
-            .unwrap_or_default()
-    }
-
-    /// Returns a trace's buffers to the arena for reuse.
-    fn recycle_trace(&self, mut trace: RecordedTrace) {
-        if let Ok(mut pool) = self.arena.lock() {
-            if pool.len() < MAX_POOLED_TRACES {
-                trace.clear();
-                pool.push(trace);
-            }
+            arena: Arc::new(Mutex::new(Arena::default())),
         }
     }
 
@@ -126,47 +98,108 @@ impl Executor {
         self.threads
     }
 
+    /// How many jobs of a stream may be in flight: issued to a worker and
+    /// not yet finished with by the consumer.
+    fn window(&self) -> usize {
+        2 * self.threads
+    }
+
+    /// Pops a recycled trace from the arena (empty if none is available).
+    fn take_trace(&self) -> RecordedTrace {
+        let Ok(mut arena) = self.arena.lock() else {
+            return RecordedTrace::default();
+        };
+        #[cfg(test)]
+        {
+            arena.out += 1;
+            arena.peak_out = arena.peak_out.max(arena.out);
+        }
+        arena.free.pop().unwrap_or_default()
+    }
+
+    /// Returns a trace's buffers to the arena for reuse.
+    fn recycle_trace(&self, mut trace: RecordedTrace) {
+        if let Ok(mut arena) = self.arena.lock() {
+            #[cfg(test)]
+            {
+                arena.out -= 1;
+            }
+            if arena.free.len() < self.window() {
+                trace.clear();
+                arena.free.push(trace);
+            }
+        }
+    }
+
     /// Runs jobs `0..n` across the pool and returns their results in job
-    /// order. Job scheduling is dynamic (workers pull the next index off a
-    /// shared counter) but the returned order — and thus everything
-    /// downstream — is canonical.
+    /// order, whichever worker ran which job when.
     pub fn run_ordered<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
+        self.stream_ordered(n, f, |results| results.collect())
+    }
+
+    /// Runs jobs `0..n` across the pool and hands their results to
+    /// `consume` as an iterator in job order. The consumer issues the jobs:
+    /// the first window up front, then job `k - 1 + window` once it asks
+    /// for result `k` (it is done with every result before `k`), so at
+    /// most one window of results is ever alive. At one thread the jobs
+    /// run lazily on the caller's thread. A panicking job resurfaces on
+    /// the caller's thread at its result.
+    fn stream_ordered<T, F, R>(
+        &self,
+        n: usize,
+        f: F,
+        consume: impl FnOnce(&mut dyn Iterator<Item = T>) -> R,
+    ) -> R
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
         if self.threads <= 1 || n <= 1 {
-            return (0..n).map(f).collect();
+            return consume(&mut (0..n).map(f));
         }
-        let workers = self.threads.min(n);
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
+        let w = self.window();
+        let (to_workers, issued) = mpsc::channel::<usize>();
+        let issued = Mutex::new(issued);
+        let (tx, rx) = mpsc::channel();
         thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    if tx.send((i, f(i))).is_err() {
-                        break;
+            for _ in 0..self.threads.min(n) {
+                let (tx, issued, f) = (tx.clone(), &issued, &f);
+                // Workers run issued jobs until the consumer drops `to_workers`.
+                scope.spawn(move || {
+                    while let Ok(Ok(i)) = issued.lock().map(|jobs| jobs.recv()) {
+                        let result = panic::catch_unwind(AssertUnwindSafe(|| f(i)));
+                        if tx.send((i, result)).is_err() {
+                            break;
+                        }
                     }
                 });
             }
             drop(tx);
-            for (i, v) in rx {
-                slots[i] = Some(v);
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every job index was executed"))
-            .collect()
+            let issue = move |i: usize| to_workers.send(i).expect("workers hold the queue");
+            (0..w.min(n)).for_each(&issue);
+            // Issued jobs all lie in `k..k + w`, so their ring slots differ.
+            let mut early: Vec<Option<thread::Result<T>>> = (0..w).map(|_| None).collect();
+            let mut k = 0;
+            consume(&mut std::iter::from_fn(move || {
+                if k == n {
+                    return None;
+                }
+                if k > 0 && k - 1 + w < n {
+                    issue(k - 1 + w);
+                }
+                while early[k % w].is_none() {
+                    let (i, result) = rx.recv().expect("issued jobs report");
+                    early[i % w] = Some(result);
+                }
+                let result = early[k % w].take().expect("filled above");
+                k += 1;
+                Some(result.unwrap_or_else(|p| panic::resume_unwind(p)))
+            }))
+        })
     }
 }
 
@@ -176,96 +209,75 @@ impl Default for Executor {
     }
 }
 
-/// One span's worth of functional execution: the mutated snapshot and the
-/// span's recorded trace, with one closed group per executed work-group
-/// (walk them in order with [`RecordedTrace::groups`]).
-pub(crate) struct SpanRun {
-    pub(crate) args: Args,
-    pub(crate) trace: RecordedTrace,
+/// Work-groups in `e`'s launch.
+fn group_count(e: &BatchEntry<'_>) -> u64 {
+    e.units.len().div_ceil(u64::from(e.meta.wa_factor))
 }
 
-/// One launch to execute functionally.
-pub(crate) struct FunctionalItem<'a> {
-    pub(crate) kernel: &'a dyn Kernel,
-    pub(crate) meta: &'a VariantMeta,
-    pub(crate) units: UnitRange,
-    /// Pre-launch snapshot of the argument set this launch targets.
-    pub(crate) pristine: &'a Args,
-}
-
-/// Executes every item's work-groups across the pool (phase 1). Spans of
-/// *all* items are fanned out together, so a batch of K profiling launches
-/// saturates the workers even when each launch is small. Results come back
-/// grouped per item, spans in order.
-pub(crate) fn run_functional(exec: &Executor, items: &[FunctionalItem<'_>]) -> Vec<Vec<SpanRun>> {
-    // Per item: the group list and its partition into spans.
-    let groups: Vec<Vec<(u64, UnitRange)>> = items
-        .iter()
-        .map(|it| it.units.groups(u64::from(it.meta.wa_factor)).collect())
-        .collect();
-    // Global job list: (item, group range) pairs, item-major.
-    let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-    for (i, g) in groups.iter().enumerate() {
-        for (lo, hi) in span_bounds(g.len(), SPANS_PER_LAUNCH) {
-            jobs.push((i, lo, hi));
-        }
+/// Executes work-groups `lo..hi` of `e` against `args`: the mutated
+/// arguments and the span's trace, one closed group per work-group (walk
+/// them with [`RecordedTrace::groups`]).
+fn run_span(
+    exec: &Executor,
+    e: &BatchEntry<'_>,
+    (lo, hi): (u64, u64),
+    mut args: Args,
+) -> (Args, RecordedTrace) {
+    let mut sink = RecordingSink::reusing(exec.take_trace());
+    let per = u64::from(e.meta.wa_factor);
+    for g in lo..hi {
+        // The group `UnitRange::groups` yields at index `g`.
+        let start = e.units.start + g * per;
+        let units = UnitRange::new(start, (start + per).min(e.units.end));
+        let mut ctx = GroupCtx::new(
+            g,
+            units,
+            e.meta.group_size,
+            &args,
+            &e.meta.placements,
+            &mut sink,
+        );
+        e.kernel.run_group(&mut ctx, &mut args);
+        drop(ctx);
+        sink.end_group();
     }
-    let span_runs = exec.run_ordered(jobs.len(), |j| {
-        let (i, lo, hi) = jobs[j];
-        let item = &items[i];
-        let mut args = item.pristine.clone();
-        // One recycled trace records the whole span, group boundaries mark
-        // the per-group slices for the serial pricing pass.
-        let mut sink = RecordingSink::reusing(exec.take_trace());
-        for &(g, gu) in &groups[i][lo..hi] {
-            let mut ctx = GroupCtx::new(
-                g,
-                gu,
-                item.meta.group_size,
-                &args,
-                &item.meta.placements,
-                &mut sink,
-            );
-            item.kernel.run_group(&mut ctx, &mut args);
-            drop(ctx);
-            sink.end_group();
-        }
-        SpanRun {
-            args,
-            trace: sink.into_trace(),
-        }
-    });
-    // Regroup the flat span list per item (jobs were built item-major).
-    let mut out: Vec<Vec<SpanRun>> = items.iter().map(|_| Vec::new()).collect();
-    for ((i, _, _), run) in jobs.iter().zip(span_runs) {
-        out[*i].push(run);
-    }
-    out
+    (args, sink.into_trace())
 }
 
-/// The declared output arguments of `meta` that exist in `target`.
-fn output_indices(meta: &VariantMeta, target: &Args) -> Vec<usize> {
-    meta.ir
-        .output_args
-        .iter()
-        .copied()
-        .filter(|&i| i < target.len())
-        .collect()
-}
-
-/// Folds a launch's span results back into the real target (phase 2a).
-pub(crate) fn merge_spans(
+/// Folds executed snapshots' output writes into `target` in order, then
+/// tampers with every element they wrote when `corrupt` says so
+/// (`Some(poison)`).
+///
+/// Workers execute against a snapshot, so every group observes the
+/// *pre-launch* buffer state (the same guarantee a real accelerator gives
+/// concurrent work-groups). Writes are folded back by comparing each
+/// executed snapshot against the pristine one, per declared output:
+/// disjoint outputs (`ir.output_disjoint`, no atomics) have changed
+/// elements overwrite the target in span order — bit-identical to serial
+/// execution, since each element is written by at most one group;
+/// overlapping/atomic outputs add the element-wise *delta* with wrapping
+/// arithmetic, which composes exactly for the commutative accumulations
+/// (e.g. histogram bin counts) such kernels perform.
+fn commit_outputs(
     target: &mut Args,
+    executed: &[Args],
     pristine: &Args,
-    spans: &[SpanRun],
     meta: &VariantMeta,
+    corrupt: Option<bool>,
 ) {
+    let mut outs = meta.ir.output_args.clone();
+    outs.retain(|&i| i < target.len());
     let additive = meta.ir.has_global_atomics || !meta.ir.output_disjoint;
-    let outs = output_indices(meta, target);
-    for span in spans {
+    for ex in executed {
         target
-            .merge_outputs(&span.args, pristine, &outs, additive)
-            .expect("span snapshot has the target's arity");
+            .merge_outputs(ex, pristine, &outs, additive)
+            .expect("snapshot arity");
+    }
+    for ex in executed.iter().filter(|_| corrupt.is_some()) {
+        let poison = corrupt == Some(true);
+        target
+            .corrupt_changed(ex, pristine, &outs, poison)
+            .expect("snapshot arity");
     }
 }
 
@@ -276,50 +288,98 @@ pub(crate) trait PriceModel {
     fn group_cost(&mut self, unit: usize, meta: &VariantMeta, trace: TraceView<'_>) -> Cycles;
 }
 
-/// How phase 2 will handle one batch entry.
-enum EntryPlan {
-    /// Functionally executed by the phase-1 fan-out; index into `runs`.
-    Fanned(usize),
-    /// Budget-eligible: executed lazily, group by group, inside phase 2 so
-    /// a preemption really stops the functional execution.
-    Inline,
-    /// Injected `LaunchError`: never executes.
-    Refused,
+/// The engine's serial state: everything pricing and scheduling mutate,
+/// touched only in canonical order.
+struct Serial<'a, M> {
+    streams: &'a mut StreamTable,
+    pool: &'a mut UnitPool,
+    exec_noise: &'a mut NoiseModel,
+    meas_noise: &'a mut NoiseModel,
+    launch_overhead: Cycles,
+    model: &'a mut M,
 }
 
-/// The full two-phase batch launch shared by the device models: parallel
-/// functional execution of every entry, then serial in-order merge,
-/// pricing, scheduling and measurement.
+/// One launch's schedule, accumulated group by group: the bookkeeping the
+/// streamed and the budgeted paths share.
+#[derive(Default)]
+struct LaunchAcc {
+    /// When the launch's stream lets it start.
+    gate: Cycles,
+    first_start: Option<Cycles>,
+    /// The last group's end; the gate while no group has run.
+    last_end: Cycles,
+    busy: Cycles,
+    groups: u64,
+}
+
+impl LaunchAcc {
+    fn open<M>(s: &Serial<'_, M>, e: &BatchEntry<'_>) -> Self {
+        let gate = s.streams.gate(e.stream, e.not_before + s.launch_overhead);
+        LaunchAcc {
+            gate,
+            last_end: gate,
+            ..LaunchAcc::default()
+        }
+    }
+
+    /// Prices one recorded group on the earliest-free unit and occupies
+    /// that unit with it — unless the launch's spend would then exceed
+    /// `budget`. Returns whether the group was committed.
+    fn place<M: PriceModel>(
+        &mut self,
+        s: &mut Serial<'_, M>,
+        meta: &VariantMeta,
+        view: TraceView<'_>,
+        slow: u64,
+        budget: Option<Cycles>,
+    ) -> bool {
+        let unit = s.pool.earliest_unit();
+        let cost = s.exec_noise.perturb(s.model.group_cost(unit, meta, view)) * slow;
+        if budget.is_some_and(|b| self.busy + cost > b) {
+            return false;
+        }
+        let p = s.pool.assign_to(unit, cost, self.gate);
+        self.first_start = Some(self.first_start.map_or(p.start, |t| t.min(p.start)));
+        self.last_end = self.last_end.max(p.end);
+        self.busy += cost;
+        self.groups += 1;
+        true
+    }
+
+    /// Completes the launch: advances its stream and draws the measurement.
+    fn finish<M>(self, e: &BatchEntry<'_>, s: &mut Serial<'_, M>) -> LaunchOutcome {
+        s.streams.record(e.stream, self.last_end);
+        LaunchOutcome::Done(LaunchRecord {
+            start: self.first_start.unwrap_or(self.gate),
+            end: self.last_end,
+            groups: self.groups,
+            busy: self.busy,
+            measured: e.measured.then(|| s.meas_noise.perturb(self.busy)),
+        })
+    }
+}
+
+/// The streamed batch launch shared by the device models: functional
+/// execution of every entry's spans on the pool, consumed in canonical
+/// order by one serial pass that merges, prices, schedules and measures.
 ///
 /// When a [`FaultPlan`] is installed, each entry consults it — in issue
 /// order, so decisions are independent of the worker-thread count — before
 /// anything runs. An injected `LaunchError` skips the entry entirely (no
 /// functional execution, no noise draws, no stream or unit-pool advance);
 /// `Hang` multiplies every priced group cost; `WrongOutput`/`Poison`
-/// tamper with exactly the elements the launch wrote, after the merge.
-/// The healthy path with no plan costs one `Option` check per batch.
-///
-/// ## Cooperative launch budgets
+/// tamper with exactly the elements the launch wrote, after the merge —
+/// the one case where span snapshots outlive their span. The healthy path
+/// with no plan costs one `Option` check per batch.
 ///
 /// An entry runs under a cycle budget when it carries an explicit
 /// [`BatchEntry::budget`], or when a [`BudgetPolicy`] is installed, the
 /// entry is measured, and an earlier measured entry of this batch already
 /// established a best-so-far baseline (`budget = deadline_factor x best`,
-/// tightening as better measurements arrive). Budget-eligible entries skip
-/// the phase-1 fan-out and execute *inline* during phase 2: each group is
-/// run functionally against a private snapshot, priced, and committed only
-/// if the accumulated spend stays within budget — the first group that
-/// would overflow preempts the launch ([`LaunchOutcome::Preempted`])
-/// before executing any further work, so `cycles_spent <= budget` holds
-/// strictly and a `hang*64` variant costs at most the budget instead of
-/// 64x the slice. A preempted entry discards its snapshot (target buffers
-/// untouched) and does not advance its stream; the unit pool keeps only
-/// the committed groups' occupancy. The inline path walks the same
-/// [`span_bounds`] partition in the same canonical group order and draws
-/// noise identically, so an entry that *completes* within budget is
-/// bit-identical to the fanned path — and every budget decision is made in
-/// priced virtual cycles, keeping outcomes independent of the worker
-/// count.
+/// tightening as better measurements arrive). Eligibility must be
+/// decidable before pricing, so while a policy is installed every measured
+/// entry stays out of the span stream and runs inline
+/// ([`run_budgeted_entry`]), whether or not a baseline ends up binding it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn launch_batch_engine<M: PriceModel>(
     exec: &Executor,
@@ -340,145 +400,91 @@ pub(crate) fn launch_batch_engine<M: PriceModel>(
         Some(plan) => entries.iter().map(|e| plan.decide(&e.meta.name)).collect(),
         None => vec![None; entries.len()],
     };
-
-    // Phase 0: one pristine snapshot per distinct target (cheap: payloads
-    // are shared copy-on-write until a worker writes).
+    // One pristine snapshot per distinct target (cheap: payloads are
+    // shared copy-on-write until a worker writes).
     let pristine: Vec<Args> = targets.iter().map(|t| (**t).clone()).collect();
 
-    // Phase 1: functional execution of every entry across the pool —
-    // except refused entries (which never execute) and budget-eligible
-    // ones (which must be able to stop mid-launch, so they run inline in
-    // phase 2). Eligibility must be decidable before pricing, so any
-    // measured entry is kept inline while a policy is installed, whether
-    // or not a baseline ends up binding it.
-    let mut plan_of: Vec<EntryPlan> = Vec::with_capacity(entries.len());
-    let mut items: Vec<FunctionalItem<'_>> = Vec::with_capacity(entries.len());
-    for (e, decision) in entries.iter().zip(&decisions) {
-        if *decision == Some(FaultKind::LaunchError) {
-            plan_of.push(EntryPlan::Refused);
-        } else if e.budget.is_some() || (budget_policy.is_some() && e.measured) {
-            plan_of.push(EntryPlan::Inline);
-        } else {
-            plan_of.push(EntryPlan::Fanned(items.len()));
-            items.push(FunctionalItem {
-                kernel: e.kernel,
-                meta: e.meta,
-                units: e.units,
-                pristine: &pristine[e.target],
-            });
-        }
+    // The span stream: every span of every entry that neither is refused
+    // (never executes) nor runs inline (must be able to stop mid-launch).
+    let refused = |ei: usize| decisions[ei] == Some(FaultKind::LaunchError);
+    let inline = |e: &BatchEntry<'_>| e.budget.is_some() || (budget_policy.is_some() && e.measured);
+    let spans_of = |e: &BatchEntry<'_>| span_bounds(group_count(e) as usize, SPANS_PER_LAUNCH);
+    let mut jobs: Vec<(usize, (u64, u64))> = Vec::new();
+    for (ei, e) in entries
+        .iter()
+        .enumerate()
+        .filter(|&(ei, e)| !refused(ei) && !inline(e))
+    {
+        jobs.extend(spans_of(e).map(|(lo, hi)| (ei, (lo as u64, hi as u64))));
     }
-    let runs = run_functional(exec, &items);
+    let run_job = |j: usize| {
+        let (ei, span) = jobs[j];
+        let e = &entries[ei];
+        run_span(exec, e, span, pristine[e.target].clone())
+    };
 
-    // Phase 2: serial reduction in issue order — merge outputs, then
-    // replay each group's trace through the cost model in canonical order.
-    let mut best_measured: Option<Cycles> = None;
-    let mut outcomes = Vec::with_capacity(entries.len());
-    for (ei, e) in entries.iter().enumerate() {
-        let slow = match decisions[ei] {
-            Some(FaultKind::Hang(factor)) => factor.max(1),
-            _ => 1,
-        };
-        let corrupt = match decisions[ei] {
-            Some(kind @ (FaultKind::WrongOutput | FaultKind::Poison)) => {
-                Some(kind == FaultKind::Poison)
-            }
-            _ => None,
-        };
-        let outcome = match plan_of[ei] {
-            EntryPlan::Refused => {
+    let mut s = Serial {
+        streams,
+        pool,
+        exec_noise,
+        meas_noise,
+        launch_overhead,
+        model,
+    };
+    exec.stream_ordered(jobs.len(), run_job, |spans| {
+        let mut best_measured: Option<Cycles> = None;
+        let mut outcomes = Vec::with_capacity(entries.len());
+        for (ei, e) in entries.iter().enumerate() {
+            let (slow, corrupt) = match decisions[ei] {
+                Some(FaultKind::Hang(factor)) => (factor.max(1), None),
+                Some(FaultKind::WrongOutput) => (1, Some(false)),
+                Some(FaultKind::Poison) => (1, Some(true)),
+                _ => (1, None),
+            };
+            let (target, pristine) = (&mut *targets[e.target], &pristine[e.target]);
+            let outcome = if refused(ei) {
                 // Failed launch: nothing ran, nothing advances. The host
                 // observes the failure once the stream would have started.
-                let at = streams.gate(e.stream, e.not_before + launch_overhead);
                 LaunchOutcome::Failed(LaunchFailure {
-                    at,
+                    at: LaunchAcc::open(&s, e).gate,
                     transient: true,
                 })
-            }
-            EntryPlan::Fanned(i) => {
-                let spans = &runs[i];
-                merge_spans(targets[e.target], &pristine[e.target], spans, e.meta);
-                if let Some(poison) = corrupt {
-                    let outs = output_indices(e.meta, targets[e.target]);
-                    for span in spans {
-                        targets[e.target]
-                            .corrupt_changed(&span.args, &pristine[e.target], &outs, poison)
-                            .expect("span snapshot has the target's arity");
-                    }
-                }
-                let gate = streams.gate(e.stream, e.not_before + launch_overhead);
-                let mut first_start = Cycles::MAX;
-                let mut last_end = Cycles::ZERO;
-                let mut busy = Cycles::ZERO;
-                let mut groups = 0u64;
-                for span in spans {
-                    for view in span.trace.groups() {
-                        let unit = pool.earliest_unit();
-                        let cost = exec_noise.perturb(model.group_cost(unit, e.meta, view)) * slow;
-                        let p = pool.assign_to(unit, cost, gate);
-                        first_start = first_start.min(p.start);
-                        last_end = last_end.max(p.end);
-                        busy += cost;
-                        groups += 1;
-                    }
-                }
-                if groups == 0 {
-                    first_start = gate;
-                    last_end = gate;
-                }
-                streams.record(e.stream, last_end);
-                let measured = e.measured.then(|| meas_noise.perturb(busy));
-                LaunchOutcome::Done(LaunchRecord {
-                    start: first_start,
-                    end: last_end,
-                    groups,
-                    busy,
-                    measured,
-                })
-            }
-            EntryPlan::Inline => {
+            } else if inline(e) {
                 let budget = e.budget.or_else(|| match (budget_policy, best_measured) {
                     (Some(p), Some(best)) if e.measured => Some(p.budget_for(best)),
                     _ => None,
                 });
-                run_budgeted_entry(
-                    exec,
-                    e,
-                    targets,
-                    &pristine,
-                    streams,
-                    pool,
-                    exec_noise,
-                    meas_noise,
-                    launch_overhead,
-                    model,
-                    slow,
-                    corrupt,
-                    budget,
-                )
+                run_budgeted_entry(exec, e, target, pristine, &mut s, slow, corrupt, budget)
+            } else {
+                let mut acc = LaunchAcc::open(&s, e);
+                let mut kept = Vec::new();
+                for (args, trace) in (&mut *spans).take(spans_of(e).count()) {
+                    for view in trace.groups() {
+                        acc.place(&mut s, e.meta, view, slow, None);
+                    }
+                    exec.recycle_trace(trace);
+                    // Tampering needs every span's snapshot; a healthy
+                    // span's is merged and dropped at once.
+                    match corrupt {
+                        Some(_) => kept.push(args),
+                        None => commit_outputs(target, &[args], pristine, e.meta, None),
+                    }
+                }
+                commit_outputs(target, &kept, pristine, e.meta, corrupt);
+                acc.finish(e, &mut s)
+            };
+            if let Some(m) = outcome.done().and_then(|r| r.measured) {
+                best_measured = Some(best_measured.map_or(m, |b| b.min(m)));
             }
-        };
-        if let LaunchOutcome::Done(LaunchRecord {
-            measured: Some(m), ..
-        }) = outcome
-        {
-            best_measured = Some(best_measured.map_or(m, |b| b.min(m)));
+            // Emission happens here, in the serial pass, so device events
+            // carry canonical sequence numbers at any worker count.
+            if let Some(sink) = obs {
+                emit_outcome(sink, e, &outcome);
+            }
+            outcomes.push(outcome);
         }
-        // Emission happens here, in the serial pricing pass, so device
-        // events carry canonical sequence numbers at any worker count.
-        if let Some(sink) = obs {
-            emit_outcome(sink, e, &outcome);
-        }
-        outcomes.push(outcome);
-    }
-    // Priced traces go back to the arena: the next launch's span jobs
-    // record into these buffers instead of allocating fresh ones.
-    for item_runs in runs {
-        for span in item_runs {
-            exec.recycle_trace(span.trace);
-        }
-    }
-    outcomes
+        outcomes
+    })
 }
 
 /// Emits the device-level event for one priced launch outcome.
@@ -489,129 +495,72 @@ fn emit_outcome(sink: &EventSink, e: &BatchEntry<'_>, outcome: &LaunchOutcome) {
             .stream(e.stream.0)
             .units(e.units.start, e.units.end)
     };
-    match outcome {
+    sink.emit(match outcome {
         LaunchOutcome::Done(rec) => {
-            let mut detail = format!("groups={} busy={}", rec.groups, rec.busy.0);
-            if let Some(m) = rec.measured {
-                detail.push_str(&format!(" measured={}", m.0));
-            }
-            sink.emit(
-                base(Stage::Enqueue)
-                    .span(rec.start.0, rec.end.0)
-                    .detail(detail),
-            );
+            let measured = rec
+                .measured
+                .map_or(String::new(), |m| format!(" measured={}", m.0));
+            let detail = format!("groups={} busy={}{measured}", rec.groups, rec.busy.0);
+            base(Stage::Enqueue)
+                .span(rec.start.0, rec.end.0)
+                .detail(detail)
         }
-        LaunchOutcome::Failed(f) => {
-            let detail = if f.transient {
-                "transient launch failure"
-            } else {
-                "permanent launch failure"
-            };
-            sink.emit(base(Stage::LaunchError).at(f.at.0).detail(detail));
-        }
-        LaunchOutcome::Preempted(p) => {
-            sink.emit(base(Stage::Preempt).at(p.at.0).detail(format!(
-                "groups_done={} cycles_spent={}",
-                p.groups_done, p.cycles_spent.0
-            )));
-        }
-    }
+        LaunchOutcome::Failed(f) => base(Stage::LaunchError).at(f.at.0).detail(if f.transient {
+            "transient launch failure"
+        } else {
+            "permanent launch failure"
+        }),
+        LaunchOutcome::Preempted(p) => base(Stage::Preempt).at(p.at.0).detail(format!(
+            "groups_done={} cycles_spent={}",
+            p.groups_done, p.cycles_spent.0
+        )),
+    });
 }
 
-/// Executes one budget-eligible entry inline (see the budget section of
-/// [`launch_batch_engine`]): groups run functionally against a private
-/// snapshot in the canonical [`span_bounds`] order, each priced and then
-/// committed only if the accumulated spend stays within `budget`.
+/// Executes one budget-eligible entry inline: each group runs
+/// functionally against a private snapshot, is priced, and is committed
+/// only if the accumulated spend stays within `budget`. The first group
+/// that would overflow preempts the launch before it occupies a unit, so
+/// `cycles_spent <= budget` holds strictly and a `hang*64` variant costs
+/// at most the budget instead of 64x the slice. A preempted entry discards
+/// its snapshot (target buffers untouched) and does not advance its
+/// stream; the unit pool keeps only the committed groups' occupancy. The
+/// groups run in the streamed path's canonical order and draw noise
+/// identically, so an entry that *completes* within budget is
+/// bit-identical to the streamed path, and every budget decision is made
+/// in priced virtual cycles, independent of the worker count.
 #[allow(clippy::too_many_arguments)]
 fn run_budgeted_entry<M: PriceModel>(
     exec: &Executor,
     e: &BatchEntry<'_>,
-    targets: &mut [&mut Args],
-    pristine: &[Args],
-    streams: &mut StreamTable,
-    pool: &mut UnitPool,
-    exec_noise: &mut NoiseModel,
-    meas_noise: &mut NoiseModel,
-    launch_overhead: Cycles,
-    model: &mut M,
+    target: &mut Args,
+    pristine: &Args,
+    s: &mut Serial<'_, M>,
     slow: u64,
     corrupt: Option<bool>,
     budget: Option<Cycles>,
 ) -> LaunchOutcome {
-    let groups: Vec<(u64, UnitRange)> = e.units.groups(u64::from(e.meta.wa_factor)).collect();
-    let gate = streams.gate(e.stream, e.not_before + launch_overhead);
-    let mut work = pristine[e.target].clone();
-    let mut first_start = Cycles::MAX;
-    let mut last_end = Cycles::ZERO;
-    let mut busy = Cycles::ZERO;
-    let mut groups_done = 0u64;
-    let mut preempted = false;
-    // One recycled trace, cleared per group: record → price → reuse.
-    let mut trace = exec.take_trace();
-    'spans: for (lo, hi) in span_bounds(groups.len(), SPANS_PER_LAUNCH) {
-        for &(g, gu) in &groups[lo..hi] {
-            let mut sink = RecordingSink::reusing(std::mem::take(&mut trace));
-            let mut ctx = GroupCtx::new(
-                g,
-                gu,
-                e.meta.group_size,
-                &work,
-                &e.meta.placements,
-                &mut sink,
-            );
-            e.kernel.run_group(&mut ctx, &mut work);
-            drop(ctx);
-            trace = sink.into_trace();
-            let unit = pool.earliest_unit();
-            let cost = exec_noise.perturb(model.group_cost(unit, e.meta, trace.view())) * slow;
-            if let Some(b) = budget {
-                if busy + cost > b {
-                    // Committing this group would blow the budget: preempt
-                    // before it occupies a unit or writes become visible.
-                    preempted = true;
-                    break 'spans;
-                }
-            }
-            let p = pool.assign_to(unit, cost, gate);
-            first_start = first_start.min(p.start);
-            last_end = last_end.max(p.end);
-            busy += cost;
-            groups_done += 1;
+    let mut acc = LaunchAcc::open(s, e);
+    let mut work = pristine.clone();
+    for g in 0..group_count(e) {
+        let (args, trace) = run_span(exec, e, (g, g + 1), work);
+        work = args;
+        let placed = trace
+            .groups()
+            .all(|view| acc.place(s, e.meta, view, slow, budget));
+        exec.recycle_trace(trace);
+        if !placed {
+            // The snapshot (and with it every partial write) is discarded;
+            // the stream does not advance, exactly like a failed launch.
+            return LaunchOutcome::Preempted(LaunchPreemption {
+                at: acc.last_end,
+                cycles_spent: acc.busy,
+                groups_done: acc.groups,
+            });
         }
     }
-    exec.recycle_trace(trace);
-    if preempted {
-        // The snapshot (and with it every partial write) is discarded; the
-        // stream does not advance, exactly like a failed launch.
-        return LaunchOutcome::Preempted(LaunchPreemption {
-            at: if groups_done == 0 { gate } else { last_end },
-            cycles_spent: busy,
-            groups_done,
-        });
-    }
-    let outs = output_indices(e.meta, targets[e.target]);
-    let additive = e.meta.ir.has_global_atomics || !e.meta.ir.output_disjoint;
-    targets[e.target]
-        .merge_outputs(&work, &pristine[e.target], &outs, additive)
-        .expect("work snapshot has the target's arity");
-    if let Some(poison) = corrupt {
-        targets[e.target]
-            .corrupt_changed(&work, &pristine[e.target], &outs, poison)
-            .expect("work snapshot has the target's arity");
-    }
-    if groups_done == 0 {
-        first_start = gate;
-        last_end = gate;
-    }
-    streams.record(e.stream, last_end);
-    let measured = e.measured.then(|| meas_noise.perturb(busy));
-    LaunchOutcome::Done(LaunchRecord {
-        start: first_start,
-        end: last_end,
-        groups: groups_done,
-        busy,
-        measured,
-    })
+    commit_outputs(target, &[work], pristine, e.meta, corrupt);
+    acc.finish(e, s)
 }
 
 #[cfg(test)]
@@ -645,5 +594,51 @@ mod tests {
         let got = exec.run_ordered(100, |i| i + 1);
         assert_eq!(got.len(), 100);
         assert_eq!(got[99], 100);
+    }
+
+    #[test]
+    fn batch_never_holds_more_than_a_window_of_traces() {
+        use crate::{CpuConfig, CpuDevice, Device, StreamId};
+        use dysel_kernel::{Buffer, KernelIr, Space, Variant};
+        let meta = VariantMeta::new("w", KernelIr::regular(vec![0]));
+        let v = Variant::from_fn(meta, |ctx, args| {
+            for u in ctx.units().iter() {
+                args.u32_mut(0).unwrap()[u as usize] = u as u32 ^ 7;
+                ctx.vector_compute(1, 8, 8, 1);
+            }
+        });
+        // 64 entries x 32 groups: 16 spans each, 1024 spans in all.
+        let entry = |i: u64| BatchEntry {
+            kernel: v.kernel.as_ref(),
+            meta: &v.meta,
+            units: UnitRange::new(i * 32, (i + 1) * 32),
+            target: 0,
+            stream: StreamId(0),
+            not_before: Cycles::ZERO,
+            measured: true,
+            budget: None,
+        };
+        let entries: Vec<BatchEntry<'_>> = (0..64).map(entry).collect();
+        let want: Vec<u32> = (0..64 * 32).map(|u| u ^ 7).collect();
+        for threads in [1, 2, 8] {
+            let mut cfg = CpuConfig::noiseless();
+            cfg.threads = threads;
+            let mut dev = CpuDevice::new(cfg);
+            let mut args = Args::new();
+            args.push(Buffer::u32("out", vec![0; 64 * 32], Space::Global));
+            let outcomes = dev.launch_batch(&entries, &mut [&mut args]);
+            assert!(outcomes
+                .iter()
+                .all(|o| o.done().is_some_and(|r| r.groups == 32)));
+            assert_eq!(args.u32(0).unwrap(), &want[..]);
+            let arena = dev.executor().arena.lock().unwrap();
+            assert_eq!(arena.out, 0, "every trace went back to the arena");
+            let window = if threads == 1 { 1 } else { 2 * threads };
+            assert!(
+                (1..=window).contains(&arena.peak_out),
+                "{threads} threads: {} alive",
+                arena.peak_out
+            );
+        }
     }
 }

@@ -21,8 +21,8 @@
 //! Functional execution of work-groups runs on a std-only work pool (the
 //! [`Executor`]); the virtual-time pricing pass stays serial and consumes
 //! results in canonical work-group order, so outputs, measurements and
-//! selections are bit-identical at any worker-thread count (the two-phase
-//! launch engine in `exec.rs`).
+//! selections are bit-identical at any worker-thread count (the windowed
+//! streaming launch engine in `exec.rs`).
 //!
 //! # Example
 //!

@@ -234,3 +234,58 @@ fn device_reset_replays_the_same_fault_sequence() {
     assert_eq!(first, second);
     assert_eq!(dev.fault_plan().unwrap().injected(), &log[..]);
 }
+
+/// `hist[u / WIDTH] += 1` per unit: an atomic output that the launch's 16
+/// spans (64 units each) write, bins straddling a span boundary from two
+/// spans. Tampering must fold every span's snapshot, not just the last.
+const WIDTH: usize = 40;
+const BINS: usize = 64;
+
+fn binner() -> Variant {
+    Variant::from_fn(
+        VariantMeta::new("bins", KernelIr::regular(vec![0]).with_atomics()),
+        |ctx, args| {
+            for u in ctx.units().iter() {
+                args.u32_mut(0).unwrap()[u as usize / WIDTH] += 1;
+                ctx.atomic(0, 0, 1, 1);
+            }
+        },
+    )
+}
+
+/// One launch of [`binner`] over all `N` units, on a device with `threads`
+/// workers and `kind` injected.
+fn bin_run(threads: usize, kind: Option<FaultKind>) -> (dysel_device::LaunchRecord, Vec<u32>) {
+    let mut dev = CpuDevice::new(CpuConfig {
+        threads,
+        ..CpuConfig::noiseless()
+    });
+    dev.set_fault_plan(kind.map(|k| FaultPlan::new(0).with(FaultRule::new("bins", k))));
+    let v = binner();
+    let mut a = Args::new();
+    a.push(Buffer::u32("hist", vec![0; BINS], Space::Global));
+    let rec = launch(&mut dev, &v, &mut a, UnitRange::new(0, N)).unwrap_done();
+    (rec, a.u32(0).unwrap().to_vec())
+}
+
+#[test]
+fn tampered_atomic_output_is_exact_and_thread_count_invariant() {
+    let (healthy_rec, healthy) = bin_run(1, None);
+    assert_eq!(healthy.iter().sum::<u32>(), N as u32);
+    let written = healthy.iter().filter(|&&c| c != 0).count();
+    assert_eq!(written, (N as usize).div_ceil(WIDTH));
+    for kind in [FaultKind::WrongOutput, FaultKind::Poison] {
+        let (rec, out) = bin_run(1, Some(kind));
+        assert_eq!(rec, healthy_rec, "{kind:?} leaves the schedule alone");
+        let tampered = out.iter().zip(&healthy).filter(|(a, b)| a != b).count();
+        assert_eq!(tampered, written, "{kind:?}: exactly the written bins");
+        assert!(out[written..].iter().all(|&c| c == 0), "{kind:?}");
+        if kind == FaultKind::Poison {
+            assert!(out[..written].iter().all(|&c| c == u32::MAX));
+        }
+        for threads in [2, 8] {
+            let got = bin_run(threads, Some(kind));
+            assert_eq!(got, (rec, out.clone()), "{kind:?} at {threads} threads");
+        }
+    }
+}

@@ -7,15 +7,23 @@
 //! every input buffer with the original and only the written output buffers
 //! are actually duplicated.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::dirty::DirtyRanges;
 use crate::{KernelError, Space};
 
-/// Virtual-address bump allocator. Buffers never share cache lines.
-static NEXT_ADDR: AtomicU64 = AtomicU64::new(0x1000);
+thread_local! {
+    /// Virtual-address bump allocator, one per thread: buffers allocated
+    /// on one thread never share cache lines. Per-thread rather than
+    /// per-process so that a runtime's priced timeline (the device cache
+    /// models hash these addresses) depends only on what its own thread
+    /// allocated, never on what concurrent threads allocated meanwhile —
+    /// two runtimes driven from different threads of one process (the
+    /// test harness runs tests that way) cannot perturb each other.
+    static NEXT_ADDR: Cell<u64> = const { Cell::new(0x1000) };
+}
 
 // 256-byte alignment mirrors typical device allocator granularity and
 // keeps distinct buffers in distinct 128-byte coalescing segments.
@@ -24,18 +32,24 @@ fn aligned_size(bytes: u64) -> u64 {
 }
 
 fn alloc_addr(bytes: u64) -> u64 {
-    NEXT_ADDR.fetch_add(aligned_size(bytes), Ordering::Relaxed)
+    NEXT_ADDR.with(|next| {
+        let addr = next.get();
+        next.set(addr + aligned_size(bytes));
+        addr
+    })
 }
 
-/// A private virtual-address space: the same bump allocation the global
-/// allocator performs, but owned by one caller instead of the process.
+/// A private virtual-address space: the same bump allocation the
+/// per-thread allocator performs, but owned by one caller instead of the
+/// thread.
 ///
 /// The device cache models hash buffer base addresses into lines and
 /// sets, so a launch's priced cost depends on where its buffers sit.
-/// With the process-global allocator, those addresses are a function of
-/// every allocation any thread has performed so far — harmless for a
-/// single-threaded run, but it makes one runtime's virtual timeline
-/// sensitive to unrelated concurrent allocations. Re-addressing a
+/// With the per-thread allocator, those addresses are a function of
+/// every allocation the calling thread has performed so far — harmless
+/// when one thread drives one runtime, but it makes the timelines of
+/// runtimes that share a thread (a service worker driving several
+/// lanes) sensitive to each other's allocations. Re-addressing a
 /// launch's buffers from a private `AddrSpace` (see
 /// [`Args::rebase_in`]) makes the timeline a pure function of that
 /// space's own allocation history, which is what lets a shared launch
@@ -46,7 +60,8 @@ pub struct AddrSpace {
 }
 
 impl AddrSpace {
-    /// A fresh address space, starting where the global allocator starts.
+    /// A fresh address space, starting where every thread's allocator
+    /// starts.
     pub fn new() -> Self {
         AddrSpace { next: 0x1000 }
     }
@@ -272,7 +287,7 @@ impl Buffer {
     }
 
     /// [`Buffer::sandbox_clone`], allocating from a private [`AddrSpace`]
-    /// instead of the process-global allocator.
+    /// instead of the thread's allocator.
     pub fn sandbox_clone_in(&self, space: &mut AddrSpace) -> Buffer {
         let mut b = self.clone();
         b.addr = space.alloc(b.size_bytes());
@@ -1005,7 +1020,7 @@ impl Args {
     }
 
     /// [`Args::sandbox_view`], drawing the sandbox copies' addresses from
-    /// a private [`AddrSpace`] instead of the process-global allocator.
+    /// a private [`AddrSpace`] instead of the thread's allocator.
     ///
     /// # Errors
     ///

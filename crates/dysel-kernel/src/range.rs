@@ -88,14 +88,13 @@ impl fmt::Display for UnitRange {
 /// Partitions `len` items into at most `max_spans` contiguous half-open
 /// index spans, yielding `(lo, hi)` bounds in order.
 ///
-/// This is the canonical span geometry of the two-phase launch engine:
-/// the parallel functional phase fans each launch's work-groups out span
-/// by span, and the budgeted (cooperatively preemptible) execution path
-/// walks the *same* spans as its checkpoint structure — so the two paths
-/// agree on group ordering and a launch's observable results never depend
-/// on which path ran it. The partition depends only on `len` and
-/// `max_spans` (never on worker count), and spans are balanced to within
-/// one item.
+/// This is the canonical span geometry of the streaming launch engine:
+/// each launch's work-groups are executed span by span on the worker
+/// pool and priced in span order, the same group order the budgeted
+/// (cooperatively preemptible) execution path walks — so a launch's
+/// observable results never depend on which path ran it. The partition
+/// depends only on `len` and `max_spans` (never on worker count), and
+/// spans are balanced to within one item.
 ///
 /// # Example
 ///

@@ -4,8 +4,8 @@
 //! describe *what the hardware would have done* through batched memory-op
 //! descriptors. Device timing models implement [`TraceSink`] and price the
 //! descriptors as they arrive, so no trace is ever materialized — except
-//! by [`RecordingSink`], which captures a replayable [`RecordedTrace`] for
-//! the two-phase launch engine.
+//! by [`RecordingSink`], which captures a replayable [`RecordedTrace`] of
+//! one span for the streaming launch engine to price and recycle.
 //!
 //! ## Allocation discipline
 //!

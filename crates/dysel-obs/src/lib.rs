@@ -15,7 +15,7 @@
 //! wall clock: the runtime and the device models emit them from their
 //! serial pricing/orchestration passes, and the sink assigns sequence
 //! numbers in emission order. Because that serial order is itself
-//! independent of the worker-thread count (the two-phase launch engine's
+//! independent of the worker-thread count (the streaming launch engine's
 //! contract), a trace is bit-identical at `--threads 1/2/8` — which makes
 //! traces usable as golden test fixtures.
 //!

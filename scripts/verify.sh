@@ -59,6 +59,16 @@ grep -q "fig11a" /tmp/dysel-verify-t1.txt  # guard against an empty run
 diff /tmp/dysel-verify-t1.txt /tmp/dysel-verify-t4.txt
 echo "    identical"
 
+echo "==> bounded memory: fig8 must complete under an 8 GB address-space limit"
+# The launch engine keeps at most 2 x threads span traces alive; one that
+# materializes a whole batch's traces aborts here on allocation failure.
+if ! (ulimit -v 8000000 && "$bin" --threads 1 fig8 >/tmp/dysel-verify-fig8.txt); then
+    echo "    fig8 failed under ulimit -v 8000000" >&2
+    exit 1
+fi
+grep -q "fig8" /tmp/dysel-verify-fig8.txt
+echo "    completed"
+
 echo "==> trace smoke: --trace-out must write non-empty, parseable JSON"
 trace=/tmp/dysel-verify-trace.json
 metrics=/tmp/dysel-verify-metrics.txt

@@ -207,6 +207,35 @@ fn histogram_profiles_in_swap_mode_by_inference() {
 }
 
 #[test]
+fn repeated_sandboxed_profiling_counts_each_slice_once() {
+    // Every repetition of a sandboxed slice re-runs the same units; an
+    // accumulating kernel (histogram) must still see its slice committed
+    // once, or the winner's output counts it once per repetition.
+    let w = histogram::workload(
+        64 * histogram::ELEMS_PER_UNIT,
+        histogram::Distribution::Skewed,
+        7,
+    );
+    for (target, device) in [
+        (Target::Cpu, cpu as fn() -> Box<dyn Device>),
+        (Target::Gpu, gpu),
+    ] {
+        for mode in [ProfilingMode::HybridPartial, ProfilingMode::SwapPartial] {
+            for orch in [Orchestration::Sync, Orchestration::Async] {
+                let opts = LaunchOptions::new()
+                    .with_mode(mode)
+                    .with_orchestration(orch)
+                    .with_profile_reps(3);
+                // `run_dysel` checks the output against the host reference.
+                let report = run_dysel(&w, target, device(), &opts);
+                assert!(report.profiled(), "{target} / {mode} / {orch}");
+                assert_eq!(report.mode, Some(mode), "{target} / {mode} / {orch}");
+            }
+        }
+    }
+}
+
+#[test]
 fn regular_workloads_profile_fully_productively() {
     let w = sgemm::schedules_workload(64, 7);
     let report = run_dysel(&w, Target::Cpu, cpu(), &LaunchOptions::new());
